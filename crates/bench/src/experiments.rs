@@ -1,4 +1,5 @@
-//! One function per paper table/figure. See DESIGN.md §3 for the index.
+//! One function per paper table/figure; each `exp_*` binary in `src/bin/`
+//! runs one of them.
 
 use crate::support::{checkpoints, coverage_curve, prepare, scaled, Prepared};
 use darwin_baselines::{ActiveLearning, HighC, HighP, KeywordSampling, Snuba, SnubaConfig};

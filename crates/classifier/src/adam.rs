@@ -47,34 +47,42 @@ impl Param {
         self.g.iter_mut().for_each(|g| *g = 0.0);
     }
 
-    /// Reset weights, gradients and Adam moments to the all-zero state of
-    /// [`Param::zeros`] without releasing the allocations — the warm-start
-    /// training paths lean on this being *exactly* equivalent to building
-    /// a fresh zero tensor.
-    pub fn reset_zeros(&mut self) {
-        self.w.iter_mut().for_each(|x| *x = 0.0);
-        self.g.iter_mut().for_each(|x| *x = 0.0);
-        self.m.iter_mut().for_each(|x| *x = 0.0);
-        self.v.iter_mut().for_each(|x| *x = 0.0);
-    }
-
     /// One Adam step over the accumulated gradient; `t` is the 1-based step
     /// counter shared across all parameters of the model.
     pub fn adam_step(&mut self, lr: f32, t: u32) {
-        const B1: f32 = 0.9;
-        const B2: f32 = 0.999;
-        const EPS: f32 = 1e-8;
-        let bc1 = 1.0 - B1.powi(t as i32);
-        let bc2 = 1.0 - B2.powi(t as i32);
-        for i in 0..self.w.len() {
-            let g = self.g[i];
-            self.m[i] = B1 * self.m[i] + (1.0 - B1) * g;
-            self.v[i] = B2 * self.v[i] + (1.0 - B2) * g * g;
-            let mhat = self.m[i] / bc1;
-            let vhat = self.v[i] / bc2;
-            self.w[i] -= lr * mhat / (vhat.sqrt() + EPS);
+        let bc = bias_corrections(t);
+        let moments = self.m.iter_mut().zip(self.v.iter_mut());
+        for ((w, (m, v)), &g) in self.w.iter_mut().zip(moments).zip(&self.g) {
+            adam_update(w, m, v, g, lr, bc);
         }
     }
+}
+
+const B1: f32 = 0.9;
+const B2: f32 = 0.999;
+const EPS: f32 = 1e-8;
+
+/// Adam's bias corrections `(1 − β₁ᵗ, 1 − β₂ᵗ)` for the 1-based step `t`,
+/// computed once per step and shared by every coordinate.
+#[inline]
+pub(crate) fn bias_corrections(t: u32) -> (f32, f32) {
+    (1.0 - B1.powi(t as i32), 1.0 - B2.powi(t as i32))
+}
+
+/// One Adam update of a single coordinate with gradient `g`. This is the
+/// only Adam arithmetic in the crate: [`Param::adam_step`] and the sparse
+/// logistic-regression fit both call it, so they cannot drift apart.
+///
+/// A coordinate at `w = m = v = +0.0` with a zero gradient (of either
+/// sign) stays at `+0.0` in all three: `0.9·(+0) + 0.1·(±0)` is `+0`,
+/// `v` likewise, and `w − lr·(+0)/(+0 + ε)` is `+0` for finite `lr`.
+#[inline]
+pub(crate) fn adam_update(w: &mut f32, m: &mut f32, v: &mut f32, g: f32, lr: f32, bc: (f32, f32)) {
+    *m = B1 * *m + (1.0 - B1) * g;
+    *v = B2 * *v + (1.0 - B2) * g * g;
+    let mhat = *m / bc.0;
+    let vhat = *v / bc.1;
+    *w -= lr * mhat / (vhat.sqrt() + EPS);
 }
 
 /// Numerically stable logistic sigmoid.

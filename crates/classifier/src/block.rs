@@ -20,6 +20,11 @@
 //! non-zero. The canonical score below is therefore the *definition* of
 //! logistic-regression scoring for every path in this crate; scalar,
 //! batched, sharded and threaded execution all route through it.
+//!
+//! Training reads the same rows: the warm [`crate::LogReg`] fit fills one
+//! block with its training set and walks it through `FeatureBlock::row`,
+//! applying the same ±0.0 argument to the training dot (see
+//! `kernels::DotLanes`).
 
 use crate::adam::sigmoid;
 use crate::features::{bow_bucket, embedding_matrix, BOW_BUCKETS};
@@ -107,6 +112,20 @@ impl FeatureBlock {
         }
     }
 
+    /// Row `r`: its dense embedding row, then its ascending bucket ids and
+    /// their weights. The same values [`crate::features::logreg_features`]
+    /// writes, minus the zeros.
+    #[inline]
+    pub(crate) fn row(&self, r: usize) -> (&[f32], &[u32], &[f32]) {
+        let dim = self.emb_dim;
+        let (lo, hi) = (self.row_off[r], self.row_off[r + 1]);
+        (
+            &self.dense[r * dim..(r + 1) * dim],
+            &self.bow_idx[lo..hi],
+            &self.bow_val[lo..hi],
+        )
+    }
+
     /// The canonical logistic-regression score for row `r` under the flat
     /// weight vector `w` (`emb_dim + BOW_BUCKETS + 1` long):
     /// `sigmoid((dense·w_emb + bow·w_bow) + w_bias)`, with the dense half
@@ -115,14 +134,8 @@ impl FeatureBlock {
     pub fn score_row(&self, w: &[f32], r: usize) -> f32 {
         let dim = self.emb_dim;
         debug_assert_eq!(w.len(), dim + BOW_BUCKETS + 1);
-        let dense = &self.dense[r * dim..(r + 1) * dim];
-        let (lo, hi) = (self.row_off[r], self.row_off[r + 1]);
-        let z = dot_f32(&w[..dim], dense)
-            + sparse_dot_f32(
-                &w[dim..dim + BOW_BUCKETS],
-                &self.bow_idx[lo..hi],
-                &self.bow_val[lo..hi],
-            );
+        let (dense, idx, val) = self.row(r);
+        let z = dot_f32(&w[..dim], dense) + sparse_dot_f32(&w[dim..dim + BOW_BUCKETS], idx, val);
         sigmoid(z + w[dim + BOW_BUCKETS])
     }
 

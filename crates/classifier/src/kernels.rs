@@ -42,7 +42,54 @@ pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
     for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
         tail += x * y;
     }
-    // Fixed pairwise reduction: ((0+1)+(2+3)) + ((4+5)+(6+7)), then tail.
+    reduce_lanes(&acc, tail)
+}
+
+/// The accumulators of [`dot_f32`] over an `n`-long dot, for callers that
+/// feed them one non-zero term at a time. Position `j` adds into lane
+/// `j % DOT_LANES` inside the `chunks_exact` body, or into the sequential
+/// tail past it. Visiting the non-zeros in ascending `j` reproduces the
+/// dense dot bit for bit: each skipped term is `w·0.0 = ±0.0` for finite
+/// `w`, and adding `±0.0` never changes an accumulator, which starts at
+/// `+0.0` and can only become `-0.0` by adding `-0.0` to `-0.0`.
+pub(crate) struct DotLanes {
+    acc: [f32; DOT_LANES],
+    tail: f32,
+    /// First position of the tail: `n` rounded down to whole chunks.
+    body: usize,
+}
+
+impl DotLanes {
+    #[inline]
+    pub(crate) fn new(n: usize) -> DotLanes {
+        DotLanes {
+            acc: [0.0; DOT_LANES],
+            tail: 0.0,
+            body: n - n % DOT_LANES,
+        }
+    }
+
+    /// Add the term `x` of position `j`.
+    #[inline]
+    pub(crate) fn add(&mut self, j: usize, x: f32) {
+        if j < self.body {
+            self.acc[j % DOT_LANES] += x;
+        } else {
+            self.tail += x;
+        }
+    }
+
+    /// The dot, combined exactly as [`dot_f32`] combines it.
+    #[inline]
+    pub(crate) fn finish(&self) -> f32 {
+        reduce_lanes(&self.acc, self.tail)
+    }
+}
+
+/// The fixed final combine of [`dot_f32`]:
+/// `((0+1)+(2+3)) + ((4+5)+(6+7))`, then the tail.
+#[inline]
+fn reduce_lanes(acc: &[f32; DOT_LANES], tail: f32) -> f32 {
     let lo = (acc[0] + acc[1]) + (acc[2] + acc[3]);
     let hi = (acc[4] + acc[5]) + (acc[6] + acc[7]);
     (lo + hi) + tail
@@ -127,6 +174,32 @@ mod tests {
     fn affine_adds_bias() {
         assert_eq!(affine_f32(1.5, &[2.0], &[3.0]), 7.5);
         assert_eq!(affine_f32(0.25, &[], &[]), 0.25);
+    }
+
+    #[test]
+    fn lane_scatter_reproduces_dot_bit_for_bit() {
+        // Sparse rows (most entries exactly zero, mixed-sign weights) at
+        // lengths with and without a tail.
+        for n in [1usize, 7, 8, 13, 64, 4105, 4109, 4129] {
+            let w: Vec<f32> = (0..n)
+                .map(|i| ((i * 7919) % 201) as f32 * 0.01 - 1.0)
+                .collect();
+            let x: Vec<f32> = (0..n)
+                .map(|i| {
+                    if i % 5 == 0 || i + 1 == n {
+                        (i as f32).sin()
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            let mut lanes = DotLanes::new(n);
+            for j in (0..n).filter(|&j| x[j] != 0.0) {
+                lanes.add(j, w[j] * x[j]);
+            }
+            let got = lanes.finish();
+            assert_eq!(got.to_bits(), dot_f32(&w, &x).to_bits(), "n={n}");
+        }
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! word-embedding vectors, convolutions of several widths, max-over-time
 //! pooling and two fully-connected layers. [`cnn::KimCnn`] implements that
 //! architecture from scratch (no external ML dependency), trained with
-//! [`adam::Param`] (Adam). [`logreg::LogReg`] is a cheaper alternative over
-//! mean-embedding + hashed bag-of-words features, useful where the paper's
-//! experiments do not depend on CNN-specific behaviour.
+//! [`adam::Param`] (Adam). [`logreg::LogReg`] is an alternative over
+//! mean-embedding + hashed bag-of-words features, for experiments that do
+//! not depend on CNN-specific behaviour. On 50k sentences a LogReg fit
+//! takes 13–97 ms against 200–240 ms for the CNN, and a full LogReg
+//! refresh about 15 ms against about 330 ms (see the [`logreg`] docs).
 //!
 //! [`scorer::ScoreCache`] implements the incremental re-scoring optimization
 //! of §4.5 (only re-score sentences that previously scored above 0.3; score

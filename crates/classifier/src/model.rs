@@ -42,7 +42,8 @@ pub trait TextClassifier: Send + Sync {
 }
 
 /// Which classifier the pipeline should train (paper default: the Kim CNN;
-/// logistic regression is the fast ablation).
+/// logistic regression is the cheaper alternative, with measured fit times
+/// in the [`crate::logreg`] docs).
 #[derive(Clone, Debug, PartialEq)]
 pub enum ClassifierKind {
     Cnn(CnnConfig),

@@ -192,7 +192,7 @@ pub fn generate_hierarchy_scored(
     k: usize,
     max_count: usize,
 ) -> (Hierarchy, Vec<Candidate>) {
-    finish_hierarchy(index, generate_scored(index, p, k, max_count))
+    finish_hierarchy(generate_scored(index, p, k, max_count))
 }
 
 /// [`generate_hierarchy_scored`] driven by a persistent [`FrontierPool`]
@@ -208,15 +208,15 @@ pub fn generate_hierarchy_pooled(
     max_count: usize,
     pool: &mut FrontierPool,
 ) -> (Hierarchy, Vec<Candidate>) {
-    finish_hierarchy(index, pool.generate_scored(index, p, k, max_count))
+    finish_hierarchy(pool.generate_scored(index, p, k, max_count))
 }
 
 /// The §3.2.1 cleanup + hierarchy assembly shared by the full-walk and
 /// frontier-pooled regeneration paths.
-fn finish_hierarchy(index: &IndexSet, cands: Vec<Candidate>) -> (Hierarchy, Vec<Candidate>) {
+fn finish_hierarchy(cands: Vec<Candidate>) -> (Hierarchy, Vec<Candidate>) {
     let cleaned: Vec<Candidate> = cands.into_iter().filter(|c| c.count > c.overlap).collect();
     let rules: Vec<RuleRef> = cleaned.iter().map(|c| c.rule).collect();
-    (Hierarchy::new(index, rules), cleaned)
+    (Hierarchy::new(rules), cleaned)
 }
 
 /// [`generate_hierarchy_scored`] stripped to the hierarchy.

@@ -58,8 +58,10 @@ pub struct DarwinConfig {
     /// sweeps {3,5,7,9}).
     pub tau: usize,
     /// Benefit classifier. The paper trains the Kim CNN; logistic
-    /// regression is the fast ablation and the default here so that broad
-    /// experiment sweeps stay cheap — pass `ClassifierKind::cnn()` for the
+    /// regression is the default here. On 50k professions sentences
+    /// (`sessionbench --trace 1`, 2-vCPU x86-64 host) a LogReg fit takes
+    /// 13–97 ms and a full refresh about 15 ms, a CNN fit 200–240 ms and a
+    /// full CNN refresh about 330 ms. Pass `ClassifierKind::cnn()` for the
     /// paper configuration.
     pub classifier: ClassifierKind,
     /// UniversalSearch prunes candidates whose benefit-per-instance is
@@ -85,12 +87,13 @@ pub struct DarwinConfig {
     /// from the index root. Trace-equivalent to the full rescan — `false`
     /// keeps the from-scratch walk as the ablation/reference path.
     pub incremental_frontier: bool,
-    /// Warm-start classifier retraining: keep the per-sentence feature
-    /// arenas and optimizer allocations alive across the pipeline's
-    /// retrain epochs, and skip refits whose training set is unchanged.
-    /// Pure buffer reuse — trained weights (and therefore traces) are
-    /// bit-identical to cold starts; `false` keeps the from-scratch
-    /// reference path alive for the equivalence proof.
+    /// Warm-start classifier retraining: skip refits whose training set is
+    /// unchanged, keep training buffers alive across the pipeline's
+    /// retrain epochs (the CNN's embedding-matrix arena), and train LogReg
+    /// over only the coordinates its training set lights. Trained weights
+    /// (and therefore traces) are bit-identical to cold starts; `false`
+    /// keeps the from-scratch reference path alive for the equivalence
+    /// proof.
     pub warm_start: bool,
     /// Worker threads for the engine's aggregate rebuild after a full
     /// re-score epoch and for shard-parallel score refreshes

@@ -556,7 +556,7 @@ impl<'a> Engine<'a> {
             clf,
             cache,
             rng,
-            hierarchy: Hierarchy::new(index, Vec::new()),
+            hierarchy: Hierarchy::new(Vec::new()),
             store: None,
             frontier: cfg.incremental_frontier.then(FrontierPool::new),
             pending: Vec::new(),
@@ -688,7 +688,7 @@ impl<'a> Engine<'a> {
             clf,
             cache,
             rng,
-            hierarchy: Hierarchy::new(index, Vec::new()),
+            hierarchy: Hierarchy::new(Vec::new()),
             store: None,
             frontier,
             pending,
@@ -1056,15 +1056,9 @@ impl<'a> Engine<'a> {
             }
             guard += 1;
         }
-        let dbg = std::env::var("DARWIN_DEBUG_RETRAIN").is_ok();
-        let t0 = std::time::Instant::now();
         self.clf.fit(corpus, darwin.embeddings(), &pos, &neg);
-        let t_fit = t0.elapsed();
-        let t1 = std::time::Instant::now();
         self.cache.refresh(&*self.clf, corpus, darwin.embeddings());
-        let t_refresh = t1.elapsed();
 
-        let t2 = std::time::Instant::now();
         if let Some(store) = &mut self.store {
             let r = if self.cache.last_refresh_was_full() {
                 store.rebuild(
@@ -1077,19 +1071,6 @@ impl<'a> Engine<'a> {
                 store.on_scores_changed(self.cache.last_changes(), &self.state.p, darwin.index())
             };
             self.note_wire(r);
-        }
-        if dbg {
-            eprintln!(
-                "retrain: pos={} neg={} fit={:?} refresh={:?} (size={} full={} journal={}) sync={:?}",
-                pos.len(),
-                neg.len(),
-                t_fit,
-                t_refresh,
-                self.cache.last_refresh_size(),
-                self.cache.last_refresh_was_full(),
-                self.cache.last_changes().len(),
-                t2.elapsed()
-            );
         }
     }
 

@@ -19,7 +19,7 @@ pub struct Hierarchy {
 impl Hierarchy {
     /// A pool over `rules` (edges are resolved through the index on
     /// demand, so construction is just the membership set).
-    pub fn new(_index: &IndexSet, rules: Vec<RuleRef>) -> Hierarchy {
+    pub fn new(rules: Vec<RuleRef>) -> Hierarchy {
         let set = rules.iter().copied().collect();
         Hierarchy { rules, set }
     }
@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn off_pool_fallback_returns_index_edges() {
         let (c, idx) = setup();
-        let h = Hierarchy::new(&idx, vec![]);
+        let h = Hierarchy::new(vec![]);
         let shuttle = idx
             .resolve(&Heuristic::phrase(&c, "shuttle").unwrap())
             .unwrap();

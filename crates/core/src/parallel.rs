@@ -255,7 +255,7 @@ mod tests {
         }
 
         fn pool(&self, rules: Vec<RuleRef>) -> Hierarchy {
-            Hierarchy::new(&self.index, rules)
+            Hierarchy::new(rules)
         }
     }
 

@@ -2,7 +2,7 @@
 //! Table 1).
 //!
 //! The original corpora are internal (directions), licensed (ClueWeb), or
-//! large external resources (Wikipedia + NELL); per DESIGN.md we substitute
+//! large external resources (Wikipedia + NELL); we substitute
 //! seeded template generators that reproduce the statistics of Table 1 and
 //! — more importantly — the *combinatorial structure* the evaluation
 //! exercises: each positive class is a Zipf-weighted mixture of dozens of

@@ -4,7 +4,7 @@
 //! a rule-based head-attachment pass (no learned model): it picks a root
 //! verb, attaches modifiers to the nearest plausible head on the correct
 //! side, and guarantees the result is a tree (single root, acyclic). This is
-//! the SpaCy substitution described in DESIGN.md — TreeMatch only consumes
+//! the stand-in for the paper's SpaCy parser — TreeMatch only consumes
 //! `(tag, head)` pairs, so a consistent deterministic parse exercises the
 //! same code paths as a learned parse.
 //!

@@ -5,8 +5,7 @@
 //! implements a deterministic lexicon + suffix-rule tagger producing that
 //! tagset. It is intentionally simple: TreeMatch only needs *consistent*
 //! tags so that a pattern like `is/NOUN ∧ job` matches the same sentences on
-//! every run — linguistic perfection is not required for the evaluation
-//! (see DESIGN.md, substitutions table).
+//! every run — linguistic perfection is not required for the evaluation.
 
 use std::fmt;
 use std::str::FromStr;

@@ -1,6 +1,5 @@
-//! Property-based tests over the core data structures and invariants
-//! (DESIGN.md §5), plus the incremental benefit engine's delta-maintenance
-//! contract.
+//! Property-based tests over the core data structures and invariants,
+//! plus the incremental benefit engine's delta-maintenance contract.
 
 use darwin::core::benefit::benefit;
 use darwin::core::{BenefitStore, ShardedBenefitStore};
@@ -299,7 +298,7 @@ proptest! {
     }
 }
 
-/// Non-proptest invariants that complete the DESIGN.md §5 list.
+/// Non-proptest invariants of the same data structures.
 #[test]
 fn tree_term_generalization_is_sound() {
     let corpus = Corpus::from_texts(["the storm caused the fire", "lightning caused damage"]);
