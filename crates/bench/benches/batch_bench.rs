@@ -1,14 +1,14 @@
-//! Wall-clock of the async batched-oracle loop vs the step-driven loop
+//! Wall-clock of the async batched-oracle loop vs the sequential loop
 //! under simulated oracle latency (0 / 10 / 100 ms per answer), at batch
 //! sizes 1, 4, 16 and the latency-targeted adaptive policy.
 //!
-//! The step-driven reference is `Darwin::run` against a synchronous
+//! The sequential reference is `Darwin::run` against a synchronous
 //! oracle that sleeps the simulated latency inside every `ask` — the
 //! paper's annotator loop, which serializes on each answer. The async
 //! rows drive `Darwin::run_async` through `SimulatedLatency`, which
 //! answers a whole wave one round-trip after submission — so a wave of k
 //! questions costs ~1 latency instead of k. Batch 1 is asserted
-//! trace-identical to the step-driven reference (same questions, same
+//! trace-identical to the sequential reference (same questions, same
 //! answers) before any timing is reported; the bench is meaningless
 //! otherwise.
 //!
@@ -29,7 +29,7 @@ const N: usize = 2_000;
 const BUDGET: usize = 24;
 const K_CANDIDATES: usize = 1_500;
 
-/// A synchronous oracle that takes `latency` to answer — the step-driven
+/// A synchronous oracle that takes `latency` to answer — the sequential
 /// loop blocks in every `ask`, which is exactly what the async loop is
 /// built to avoid.
 struct SlowOracle<O> {
@@ -165,7 +165,7 @@ fn bench_batch(c: &mut Criterion) {
             if label == "1" {
                 // The signature invariant, re-proven on the bench fixture:
                 // batch 1 asks the step loop's exact questions.
-                assert_same_questions(&step, &out.run, "batch=1 vs step-driven");
+                assert_same_questions(&step, &out.run, "batch=1 vs sequential");
             }
             let speedup = step_ns as f64 / out.report.wall_ns as f64;
             if latency_ms == 100 && label == "4" {

@@ -1,32 +1,32 @@
-//! The asynchronous batched-oracle loop (paper §4.3's crowd setting).
+//! The question loop (paper Algorithm 1), batched for §4.3's crowd setting.
 //!
-//! The paper's interactive loop assumes an oracle whose latency dwarfs the
-//! engine's compute — a human annotator takes seconds per question, a
-//! crowd round-trip minutes, while selection takes microseconds. The
-//! step-driven loops ([`crate::pipeline`], [`crate::parallel`]) serialize
-//! on every answer; this module pipelines instead:
+//! This is the one loop that applies oracle answers.
+//! [`crate::Darwin::run`] and `run_with` drive it one question per wave,
+//! `run_parallel` one question per annotator per wave, and `run_async`,
+//! `snapshot`/`resume` and [`crate::StreamSession`] under
+//! [`crate::DarwinConfig::batch`]. A human annotator takes seconds per
+//! question, a crowd round-trip minutes, while selection takes
+//! microseconds, so the loop pipelines:
 //!
 //! 1. **Waves.** The driver fills a *wave* of up to `k` in-flight
-//!    questions ([`crate::DarwinConfig::batch`] sizes `k`): the first pick comes
-//!    from the configured traversal strategy — exactly the synchronous
-//!    selection — and every further pick from
-//!    [`Engine::select_refill`], the in-flight generalization of
-//!    [`crate::parallel::select_diverse_batch`] (maximum gated benefit,
-//!    skipping rules that mostly duplicate a question already in flight).
+//!    questions (the caller's [`BatchPolicy`] sizes `k`): the first pick
+//!    comes from the traversal strategy and every further pick from
+//!    [`Engine::select_refill`] (maximum gated benefit, skipping rules
+//!    that mostly duplicate a question already in flight).
 //! 2. **Out-of-order application.** Answers come back from
 //!    [`AsyncOracle::poll`] in any order and are applied as they arrive
-//!    through [`Engine::resolve`] → [`Engine::record`] — the same
-//!    YES-journal / benefit-delta / frontier machinery as every other
-//!    loop, which is order-independent by construction (`P` grows as a
-//!    union; fixed-point sums commute).
+//!    through [`Engine::resolve`] → [`Engine::record`] — YES-journal,
+//!    benefit deltas and frontier journal, all order-independent by
+//!    construction (`P` grows as a union; fixed-point sums commute).
 //! 3. **Barrier.** When the wave drains, the strategy observes all its
 //!    answers in submission order, and the classifier retrains once if
-//!    any YES arrived — the parallel loop's one-update-per-round
-//!    discipline, which is what makes the latency win real.
+//!    any YES arrived — one update per wave instead of per question,
+//!    which is what makes the latency win real.
 //!
 //! **The equivalence guarantee** (tested by `tests/batch_async.rs`): with
 //! `BatchPolicy::Fixed(1)` and the [`crate::Immediate`] adapter the driver
-//! replays [`Darwin::run`]'s synchronous trace byte for byte, at every
+//! replays the sequential select → ask → record → feedback → retrain loop
+//! (kept as a reference in `darwin-testkit`) byte for byte, at every
 //! shard and thread count; and for any fixed batch size, the *final*
 //! positive set, accepted rules and scores are invariant under the
 //! answer-arrival schedule — only per-wave trace ordering can differ.
@@ -62,9 +62,9 @@
 //! assert_eq!(out.report.cost.questions, out.run.questions());
 //! ```
 
-use crate::engine::{Engine, EngineFlavor};
+use crate::engine::Engine;
 use crate::oracle::{AsyncOracle, Oracle, QuestionId};
-use crate::pipeline::{Darwin, RunResult, Seed};
+use crate::pipeline::RunResult;
 use crate::snapshot::{SessionCounters, Snapshot};
 use crate::traversal::Strategy;
 use darwin_grammar::Heuristic;
@@ -73,12 +73,12 @@ use darwin_index::RuleRef;
 use darwin_text::Corpus;
 use std::time::{Duration, Instant};
 
-/// How the async driver sizes each wave of in-flight questions
-/// ([`crate::DarwinConfig::batch`]).
+/// How the wave driver sizes each wave of in-flight questions
+/// ([`crate::DarwinConfig::batch`] for the configured entry points).
 #[derive(Clone, Debug, PartialEq)]
 pub enum BatchPolicy {
     /// Keep up to `k` questions in flight per wave. `Fixed(1)` is the
-    /// synchronous reference: it replays [`Darwin::run`] byte for byte
+    /// synchronous reference: it replays [`crate::Darwin::run`] byte for byte
     /// under an [`crate::Immediate`] oracle.
     Fixed(usize),
     /// Size waves adaptively from measured answer latency: propose as
@@ -463,36 +463,12 @@ pub enum SessionOutcome {
     Suspended(Box<Snapshot>),
 }
 
-/// The async driver — see the module docs for the wave protocol and the
-/// equivalence argument. Called via [`Darwin::run_async`].
-pub(crate) fn drive(
-    darwin: &Darwin<'_>,
-    seed: Seed,
-    oracle: &mut dyn AsyncOracle,
-    model: &CostModel,
-) -> AsyncRunResult {
-    let engine = Engine::new(darwin, seed, EngineFlavor::Sequential);
-    let strategy = crate::pipeline::default_strategy(darwin.config(), engine.seed_refs());
-    match drive_session(
-        darwin,
-        engine,
-        strategy,
-        SessionCounters::default(),
-        oracle,
-        model,
-        None,
-    ) {
-        SessionOutcome::Finished(result) => result,
-        SessionOutcome::Suspended(_) => unreachable!("drive() never requests suspension"),
-    }
-}
-
 /// How a driven segment ended: the run completed, or it stopped at the
 /// requested wave barrier with the engine still *live* — classifier
 /// trained, remote sessions connected, frontier memo warm. The live form
 /// is what [`crate::stream::StreamSession`] holds across a corpus append;
-/// [`drive_session`] converts it into a serialized [`Snapshot`] for the
-/// durable suspend path.
+/// [`SegmentEnd::into_outcome`] converts it into a serialized
+/// [`Snapshot`] for the durable suspend path.
 pub(crate) enum SegmentEnd<'a> {
     /// The run drove to completion.
     Finished(AsyncRunResult),
@@ -509,63 +485,60 @@ pub(crate) enum SegmentEnd<'a> {
     },
 }
 
-/// The suspendable driver core. `start` carries the cumulative counters
-/// (zero for a fresh run, the snapshot's for a resumed one) so question
-/// ids and the final [`AsyncReport`] continue across a suspend exactly as
-/// if the run had never stopped. With `suspend_after = Some(w)` the
-/// driver returns [`SessionOutcome::Suspended`] at the first wave barrier
-/// where the *cumulative* wave count reaches `w` — a barrier is the only
-/// point where a snapshot is taken (pending set drained, feedback
-/// applied, retrain done), which is what makes resume trace-exact.
-pub(crate) fn drive_session<'a>(
-    darwin: &'a Darwin<'a>,
-    engine: Engine<'a>,
-    strategy: Box<dyn Strategy>,
-    start: SessionCounters,
-    oracle: &mut dyn AsyncOracle,
-    model: &CostModel,
-    suspend_after: Option<u64>,
-) -> SessionOutcome {
-    match drive_segment(
-        darwin,
-        engine,
-        strategy,
-        start,
-        oracle,
-        model,
-        suspend_after,
-    ) {
-        SegmentEnd::Finished(result) => SessionOutcome::Finished(result),
-        SegmentEnd::Suspended {
-            engine,
-            strategy,
-            counters,
-        } => {
-            let snap = Snapshot::capture(darwin, &engine, strategy.as_ref(), counters);
-            SessionOutcome::Suspended(Box::new(snap))
+impl SegmentEnd<'_> {
+    /// The durable form: a suspended segment serialized into a
+    /// [`Snapshot`] for [`crate::Darwin::resume`].
+    pub(crate) fn into_outcome(self) -> SessionOutcome {
+        match self {
+            SegmentEnd::Finished(result) => SessionOutcome::Finished(result),
+            SegmentEnd::Suspended {
+                engine,
+                strategy,
+                counters,
+            } => SessionOutcome::Suspended(Box::new(Snapshot::capture(
+                engine.darwin(),
+                &engine,
+                strategy.as_ref(),
+                counters,
+            ))),
+        }
+    }
+
+    /// The run result, finishing a suspended engine where it stopped.
+    pub(crate) fn into_run(self) -> RunResult {
+        match self {
+            SegmentEnd::Finished(result) => result.run,
+            SegmentEnd::Suspended { engine, .. } => engine.finish(),
         }
     }
 }
 
-/// [`drive_session`]'s engine-alive core — see [`SegmentEnd`]. The
-/// in-memory streaming path keeps the returned engine and continues it
-/// directly; the durable path serializes it into a [`Snapshot`] and lets
-/// it drop.
+/// The wave driver — see the module docs for the wave protocol and the
+/// equivalence argument. Waves are sized by `policy` and submissions stop
+/// at `budget` cumulative questions. `start` carries the cumulative
+/// counters (zero for a fresh run, the snapshot's for a resumed one) so
+/// question ids and the final [`AsyncReport`] continue across a suspend
+/// exactly as if the run had never stopped. With `suspend_after =
+/// Some(w)` the driver returns [`SegmentEnd::Suspended`] at the first wave
+/// barrier where the *cumulative* wave count reaches `w` — a barrier is
+/// the only point where a run stops (pending set drained, feedback
+/// applied, retrain done), which is what makes resume trace-exact. The
+/// report prices questions under [`CostModel::paper`].
 pub(crate) fn drive_segment<'a>(
-    darwin: &'a Darwin<'a>,
     mut engine: Engine<'a>,
     mut strategy: Box<dyn Strategy>,
     start: SessionCounters,
     oracle: &mut dyn AsyncOracle,
-    model: &CostModel,
+    policy: &BatchPolicy,
+    budget: usize,
     suspend_after: Option<u64>,
 ) -> SegmentEnd<'a> {
-    let cfg = darwin.config();
+    let darwin = engine.darwin();
     let corpus = darwin.corpus();
     let index = darwin.index();
     let started = Instant::now();
 
-    let mut batcher = AdaptiveBatcher::new(cfg.batch.clone());
+    let mut batcher = AdaptiveBatcher::new(policy.clone());
     let mut submitted = start.submitted as usize;
     let mut waves = start.waves as usize;
     let mut retrains = start.retrains as usize;
@@ -598,7 +571,7 @@ pub(crate) fn drive_segment<'a>(
         // before any of its answers are applied, which is what makes the
         // final state invariant under arrival order.
         let k = batcher.wave_size();
-        if submitted < cfg.budget {
+        if submitted < budget {
             let t = Instant::now();
             if let Some(rule) = engine.select(&mut *strategy) {
                 batcher.note_select(t.elapsed().as_nanos() as u64);
@@ -612,7 +585,7 @@ pub(crate) fn drive_segment<'a>(
                     &mut submitted,
                     rule,
                 );
-                let want = (k - 1).min(cfg.budget - submitted);
+                let want = (k - 1).min(budget - submitted);
                 if want > 0 {
                     let t = Instant::now();
                     let picks = engine.select_refill_batch(want, batcher.floor(Some(anchor)));
@@ -731,7 +704,7 @@ pub(crate) fn drive_segment<'a>(
         retrains,
         abandoned,
         wall_ns: started.elapsed().as_nanos(),
-        cost: model.report(run.questions()),
+        cost: CostModel::paper().report(run.questions()),
     };
     SegmentEnd::Finished(AsyncRunResult { run, report })
 }

@@ -4,8 +4,9 @@
 //! [`crate::pipeline`], once in [`crate::parallel`], and implicitly under
 //! every baseline selector — and each copy recomputed `benefit()` over
 //! every candidate's full coverage on every oracle question, an
-//! O(|rules| × |coverage|) rescan. This module is the single shared loop,
-//! and it maintains per-rule benefit aggregates *by delta*:
+//! O(|rules| × |coverage|) rescan. This module holds the one shared loop
+//! state (the wave driver in [`crate::batch`] is the one loop that drives
+//! it), and it maintains per-rule benefit aggregates *by delta*:
 //!
 //! * when `P` gains sentence ids, only the rules covering those ids (found
 //!   via [`IndexSet::rules_covering`], the inverted postings) change
@@ -37,7 +38,7 @@ use crate::benefit::{quantize, Benefit};
 use crate::candidates::{generate_hierarchy_pooled, generate_hierarchy_scored};
 use crate::frontier::FrontierPool;
 use crate::hierarchy::Hierarchy;
-use crate::oracle::{Oracle, QuestionId};
+use crate::oracle::QuestionId;
 use crate::pipeline::{Darwin, RunResult, Seed, TraceStep};
 use crate::shard::ShardedBenefitStore;
 use crate::traversal::{Ctx, Strategy};
@@ -405,7 +406,7 @@ where
     }
 }
 
-/// The mutable run state every strategy and flavor of the loop shares.
+/// The mutable run state every strategy and entry point of the loop shares.
 pub struct EngineState {
     /// The discovered positive set `P`.
     pub p: IdSet,
@@ -433,22 +434,9 @@ impl EngineState {
     }
 }
 
-/// Which loop flavor an [`Engine`] serves. The two differ in RNG stream
-/// and in the parallel loop's always-incremental score cache. One
-/// deliberate unification vs. the pre-engine loops: both flavors now mark
-/// a resolved seed rule as queried, so the parallel batch selector can no
-/// longer re-offer the seed to an annotator (the sequential loop always
-/// excluded it).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineFlavor {
-    /// One annotator, retrain after every YES (`Darwin::run*`).
-    Sequential,
-    /// Batched annotators, retrain once per round (`Darwin::run_parallel`).
-    Parallel,
-}
-
-/// The step-driven question loop: owns the classifier, score cache,
-/// hierarchy and benefit aggregates; strategies pull questions from it.
+/// The question-loop state machine: owns the classifier, score cache,
+/// hierarchy and benefit aggregates; strategies pull questions from it and
+/// the wave driver ([`crate::batch`]) applies their answers.
 pub struct Engine<'a> {
     darwin: &'a Darwin<'a>,
     /// Shared run state (positives, queried, accepted/rejected, trace).
@@ -477,7 +465,7 @@ pub struct Engine<'a> {
 impl<'a> Engine<'a> {
     /// Build the engine: apply the seed, train the initial classifier and
     /// generate the first hierarchy (Algorithm 1 lines 1–6).
-    pub fn new(darwin: &'a Darwin<'a>, seed: Seed, flavor: EngineFlavor) -> Engine<'a> {
+    pub fn new(darwin: &'a Darwin<'a>, seed: Seed) -> Engine<'a> {
         let corpus = darwin.corpus();
         let index = darwin.index();
         let cfg = darwin.config();
@@ -537,17 +525,14 @@ impl<'a> Engine<'a> {
                 }
             },
         };
-        let cache = match flavor {
-            EngineFlavor::Sequential if !cfg.incremental_scoring => ScoreCache::full_only(n),
-            _ => ScoreCache::new(n),
+        let cache = if cfg.incremental_scoring {
+            ScoreCache::new(n)
+        } else {
+            ScoreCache::full_only(n)
         }
         .with_shards(cfg.shards)
         .with_threads(cfg.threads);
-        let salt = match flavor {
-            EngineFlavor::Sequential => 0xDA,
-            EngineFlavor::Parallel => 0x9A11,
-        };
-        let rng = StdRng::seed_from_u64(cfg.seed ^ salt);
+        let rng = StdRng::seed_from_u64(cfg.seed ^ 0xDA);
         let max_count = (cfg.max_coverage_frac * n as f64).ceil() as usize;
 
         let mut engine = Engine {
@@ -723,6 +708,11 @@ impl<'a> Engine<'a> {
         }
         engine.regen_hierarchy();
         Ok(engine)
+    }
+
+    /// The system this engine runs over.
+    pub(crate) fn darwin(&self) -> &'a Darwin<'a> {
+        self.darwin
     }
 
     /// The score cache (snapshot capture).
@@ -910,9 +900,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Propose up to `want` further questions *while others are in
-    /// flight*: the highest-ranked candidates under the parallel batch
-    /// gating ([`crate::parallel::select_diverse_batch`]'s ranking) whose
-    /// new coverage overlaps the union of in-flight and just-proposed
+    /// flight*: the highest-ranked candidates under the traversals' gating
+    /// (rules whose benefit per new instance clears the threshold rank
+    /// first, by total benefit; the rest by expected precision) whose new
+    /// coverage overlaps the union of in-flight and just-proposed
     /// questions' new coverage by at most half — annotators working
     /// concurrently should not review near-duplicates. The pool is ranked
     /// once per call, so a whole wave refill costs one scan + sort, not
@@ -942,10 +933,7 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        let ranked = {
-            let ctx = self.ctx();
-            crate::parallel::rank_gated(&ctx)
-        };
+        let ranked = rank_gated(&self.ctx());
         for (r, _, sum_q, _) in ranked {
             if picks.len() == want {
                 break;
@@ -987,8 +975,8 @@ impl<'a> Engine<'a> {
 
     /// Record an oracle answer: on YES grow `P`, patch the benefit
     /// aggregates by delta, and log the trace step. Does *not* retrain —
-    /// the sequential loop retrains per YES, the parallel loop once per
-    /// round. Returns the answer (what the loops key retraining on).
+    /// the wave driver retrains once per wave that grew `P`. Returns the
+    /// answer.
     pub fn record(&mut self, rule: RuleRef, answer: bool) -> bool {
         let index = self.darwin.index();
         let h = index.heuristic(rule);
@@ -1121,38 +1109,6 @@ impl<'a> Engine<'a> {
             });
             self.note_wire(r);
         }
-    }
-
-    /// One sequential question: select, ask, apply, feed back (retraining
-    /// and regenerating the hierarchy on YES). Returns `false` when the
-    /// strategy has nothing left to ask.
-    ///
-    /// The strategy observes the answer *after* [`Engine::record`] applied
-    /// it — the `ctx` passed to [`Strategy::feedback`] already reflects
-    /// the grown `P`. The async loop ([`crate::batch`]) runs the same
-    /// order (answers record as they arrive, feedback at the wave
-    /// barrier), so batch size 1 replays this step exactly by
-    /// construction, whatever a strategy reads in its feedback.
-    pub fn step(&mut self, strategy: &mut dyn Strategy, oracle: &mut dyn Oracle) -> bool {
-        let Some(rule) = self.select(strategy) else {
-            return false;
-        };
-        let index = self.darwin.index();
-        let h = index.heuristic(rule);
-        let cov = index.coverage(rule);
-        let answer = oracle.ask(self.darwin.corpus(), &h, cov);
-        self.record(rule, answer);
-        {
-            let ctx = self.ctx();
-            strategy.feedback(rule, answer, &ctx);
-        }
-        if answer {
-            // Score update (§3.7): retrain, refresh scores, regenerate the
-            // hierarchy around the grown positive set.
-            self.retrain_and_sync();
-            self.regen_hierarchy();
-        }
-        true
     }
 
     /// Consume the engine into a [`RunResult`].
@@ -1313,6 +1269,40 @@ impl<'a> Engine<'a> {
     }
 }
 
+/// Rank unqueried pool candidates for a wave refill, with the same gating
+/// as the sequential traversals: rules whose benefit per new instance
+/// clears the threshold rank first (by total benefit); everything else
+/// ranks by expected precision. Without this, waves fill with broad rules
+/// the oracle is certain to reject. Benefits come from the engine's
+/// delta-maintained aggregates via `ctx`. Returns
+/// `(rule, qualified, sum_q, average)` tuples in rank order.
+fn rank_gated(ctx: &Ctx<'_>) -> Vec<(RuleRef, bool, i64, f64)> {
+    let mut scored: Vec<(RuleRef, bool, i64, f64)> = ctx
+        .hierarchy
+        .rules()
+        .iter()
+        .copied()
+        .filter(|r| !ctx.queried.contains(r))
+        .map(|r| {
+            let b = ctx.benefit(r);
+            (r, b.average() > ctx.benefit_threshold, b.sum_q, b.average())
+        })
+        .filter(|(_, _, sum_q, _)| *sum_q > 0)
+        .collect();
+    scored.sort_by(|a, b| {
+        b.1.cmp(&a.1)
+            .then_with(|| {
+                if a.1 {
+                    b.2.cmp(&a.2)
+                } else {
+                    b.3.total_cmp(&a.3)
+                }
+            })
+            .then_with(|| a.0.cmp(&b.0))
+    });
+    scored
+}
+
 /// The owned state of a suspended-in-memory [`Engine`] — everything but
 /// the `Darwin` borrow. Produced by [`Engine::into_parts`] at a wave
 /// barrier, held across a corpus append (during which no engine exists and
@@ -1457,6 +1447,104 @@ mod tests {
                 idx.heuristic(r)
             );
         }
+    }
+
+    /// The wave-refill fixture: six sentences with overlapping transport
+    /// phrases, so coverage duplicates and near-duplicates exist.
+    fn refill_setup() -> (Corpus, IndexSet) {
+        let c = Corpus::from_texts([
+            "the shuttle to the airport leaves hourly",
+            "is there a shuttle to the airport tonight",
+            "a bus to the airport runs daily",
+            "is there a bus downtown tonight",
+            "order pizza to the room please",
+            "the pool opens at nine daily",
+        ]);
+        let idx = IndexSet::build(&c, &IndexConfig::small());
+        (c, idx)
+    }
+
+    /// An engine with nothing in flight over a hand-set selection state:
+    /// an explicit rule pool, flat 0.9 scores (so gating never empties the
+    /// pool) and benefits computed from scratch.
+    fn refill_engine<'a>(darwin: &'a Darwin<'a>, pool: Vec<RuleRef>) -> Engine<'a> {
+        let mut engine = darwin.engine(Seed::Positives(Vec::new()));
+        let mut img = engine.cache.export();
+        img.scores.fill(0.9);
+        engine.cache = ScoreCache::import(&img);
+        engine.store = None;
+        engine.hierarchy = Hierarchy::new(pool);
+        engine
+    }
+
+    #[test]
+    fn refill_with_want_beyond_the_pool_returns_everything_diverse() {
+        let (c, idx) = refill_setup();
+        let darwin = Darwin::new(&c, &idx, crate::DarwinConfig::fast());
+        let all: Vec<RuleRef> = idx.all_rules().collect();
+        let picks = refill_engine(&darwin, all.clone()).select_refill_batch(all.len() + 50, None);
+        assert!(!picks.is_empty());
+        assert!(
+            picks.len() < all.len(),
+            "overlap pruning must reject near-duplicates, not return the pool"
+        );
+        let distinct: std::collections::HashSet<_> = picks.iter().collect();
+        assert_eq!(distinct.len(), picks.len(), "no rule proposed twice");
+        // Asking for exactly what was returned changes nothing.
+        let again = refill_engine(&darwin, all).select_refill_batch(picks.len(), None);
+        assert_eq!(again, picks);
+    }
+
+    #[test]
+    fn refill_takes_one_of_identical_coverage_candidates() {
+        let (c, idx) = refill_setup();
+        let darwin = Darwin::new(&c, &idx, crate::DarwinConfig::fast());
+        // Find two indexed rules with identical coverage (alias pair).
+        let all: Vec<RuleRef> = idx.all_rules().collect();
+        let pair = all
+            .iter()
+            .enumerate()
+            .find_map(|(i, &a)| {
+                all[i + 1..]
+                    .iter()
+                    .find(|&&b| idx.coverage(a) == idx.coverage(b))
+                    .map(|&b| (a, b))
+            })
+            .expect("tiny corpus has coverage-duplicate rules");
+        let picks = refill_engine(&darwin, vec![pair.0, pair.1]).select_refill_batch(2, None);
+        assert_eq!(
+            picks.len(),
+            1,
+            "identical coverage = 100% overlap: exactly one survives"
+        );
+        assert!(picks[0] == pair.0 || picks[0] == pair.1);
+    }
+
+    #[test]
+    fn refill_on_an_empty_or_fully_queried_pool_is_empty() {
+        let (c, idx) = refill_setup();
+        let darwin = Darwin::new(&c, &idx, crate::DarwinConfig::fast());
+        let mut empty = refill_engine(&darwin, Vec::new());
+        assert!(empty.select_refill_batch(3, None).is_empty());
+
+        // A fully queried pool is as empty as an empty one.
+        let all: Vec<RuleRef> = idx.all_rules().collect();
+        let mut queried = refill_engine(&darwin, all.clone());
+        queried.state.queried.extend(all);
+        assert!(queried.select_refill_batch(3, None).is_empty());
+    }
+
+    #[test]
+    fn refill_skips_rules_with_no_new_coverage() {
+        let (c, idx) = refill_setup();
+        let darwin = Darwin::new(&c, &idx, crate::DarwinConfig::fast());
+        let mut engine = refill_engine(&darwin, idx.all_rules().collect());
+        // Everything already positive: no rule adds anything.
+        engine
+            .state
+            .p
+            .extend_from_slice(&(0..c.len() as u32).collect::<Vec<_>>());
+        assert!(engine.select_refill_batch(4, None).is_empty());
     }
 
     #[test]

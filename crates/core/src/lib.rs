@@ -24,10 +24,11 @@
 //!    further diverse questions in flight while answers are outstanding
 //!    ([`batch`], with §4.3 crowd-cost accounting), and
 //! 4. on YES, grows the positive set, retrains the classifier and updates
-//!    all scores ([`pipeline`], Algorithm 1 — the loop itself is
-//!    [`engine::Engine::step`], shared by the sequential, parallel and
-//!    baseline runners; the async loop applies answers out of order
-//!    through the same machinery and retrains once per drained wave).
+//!    all scores ([`pipeline`], Algorithm 1 — the loop itself is the wave
+//!    driver in [`batch`], shared by the sequential, parallel, async and
+//!    baseline runners: answers apply as they arrive and the classifier
+//!    retrains once per wave that grew `P`; a sequential run is waves of
+//!    one question).
 //!
 //! The output is the accepted rule set, the discovered positives, the
 //! trained classifier scores, and a per-question trace from which the
@@ -56,12 +57,12 @@ pub use batch::{
     ScriptedArrival, SessionOutcome, SimulatedLatency,
 };
 pub use config::{DarwinConfig, Fanout, TraversalKind};
-pub use engine::{BenefitAgg, BenefitStore, Engine, EngineFlavor, EngineParts, EngineState};
+pub use engine::{BenefitAgg, BenefitStore, Engine, EngineParts, EngineState};
 pub use frontier::{FrontierImage, FrontierPool, FrontierStats};
 pub use oracle::{
     AsyncOracle, GroundTruthOracle, Immediate, Oracle, QuestionId, SampledAnnotatorOracle,
 };
-pub use parallel::{select_diverse_batch, MajorityOracle};
+pub use parallel::MajorityOracle;
 pub use pipeline::{Darwin, RemoteShards, RunResult, Seed, TraceStep};
 pub use remote::{
     inproc_shard_connector, inproc_wire_classifier, inproc_wire_oracle, serve_classifier,

@@ -11,15 +11,14 @@
 //! Two calling conventions share the same answer semantics:
 //!
 //! * [`Oracle`] is the synchronous form — `ask` blocks until the verdict
-//!   is known. Every step-driven loop ([`crate::pipeline`],
-//!   [`crate::parallel`]) uses it.
-//! * [`AsyncOracle`] is the submit/poll split the batched loop
+//!   is known. [`crate::Darwin::run`], `run_with` and `run_parallel` take
+//!   it.
+//! * [`AsyncOracle`] is the submit/poll split the wave driver
 //!   ([`crate::batch`]) drives: questions go out tagged with a
 //!   [`QuestionId`], answers come back later — possibly out of order —
 //!   from `poll`. [`Immediate`] adapts any synchronous oracle to the
-//!   async surface (answers available at the next poll), which is also
-//!   the reference configuration for the batch layer's equivalence
-//!   guarantee.
+//!   async surface (answers available at the next poll); it is how
+//!   `run` and `run_with` ride the driver.
 
 use darwin_grammar::Heuristic;
 use darwin_text::Corpus;

@@ -7,10 +7,12 @@
 //! run's output — any configuration replays the same trace, so results
 //! are comparable across machines and deployments.
 
-use crate::batch::{AsyncRunResult, CostModel, SessionOutcome};
+use crate::batch::{
+    drive_segment, AsyncRunResult, BatchPolicy, CostModel, SegmentEnd, SessionOutcome,
+};
 use crate::config::{DarwinConfig, TraversalKind};
-use crate::engine::{Engine, EngineFlavor};
-use crate::oracle::{AsyncOracle, Oracle};
+use crate::engine::Engine;
+use crate::oracle::{AsyncOracle, Immediate, Oracle};
 use crate::shard::ShardConnector;
 use crate::snapshot::{SessionCounters, Snapshot, SnapshotError};
 use crate::traversal::{HybridSearch, LocalSearch, Strategy, UniversalSearch};
@@ -254,14 +256,15 @@ impl<'a> Darwin<'a> {
         self.index
     }
 
-    /// A step-driven engine over this system — for callers that want to
-    /// drive the question loop themselves (inspect state between
-    /// questions, interleave with other work).
+    /// An engine over this system — for callers that want to drive the
+    /// question loop themselves (inspect state between questions,
+    /// interleave with other work) from its public primitives.
     pub fn engine(&self, seed: Seed) -> Engine<'_> {
-        Engine::new(self, seed, EngineFlavor::Sequential)
+        Engine::new(self, seed)
     }
 
-    /// Run with the configured traversal strategy.
+    /// Run with the configured traversal strategy, one question at a time
+    /// ([`Darwin::run_with`]).
     pub fn run(&self, seed: Seed, oracle: &mut dyn Oracle) -> RunResult {
         let cfg = &self.cfg;
         self.run_with(seed, oracle, |seeds| default_strategy(cfg, seeds))
@@ -277,7 +280,7 @@ impl<'a> Darwin<'a> {
     /// ([`CostModel::paper`]); use [`Darwin::run_async_costed`] for a
     /// different pricing.
     pub fn run_async(&self, seed: Seed, oracle: &mut dyn AsyncOracle) -> AsyncRunResult {
-        crate::batch::drive(self, seed, oracle, &CostModel::paper())
+        self.run_async_costed(seed, oracle, &CostModel::paper())
     }
 
     /// [`Darwin::run_async`] with explicit §4.3 cost accounting.
@@ -287,7 +290,22 @@ impl<'a> Darwin<'a> {
         oracle: &mut dyn AsyncOracle,
         model: &CostModel,
     ) -> AsyncRunResult {
-        crate::batch::drive(self, seed, oracle, model)
+        let engine = self.engine(seed);
+        let strategy = default_strategy(&self.cfg, engine.seed_refs());
+        let end = drive_segment(
+            engine,
+            strategy,
+            SessionCounters::default(),
+            oracle,
+            &self.cfg.batch,
+            self.cfg.budget,
+            None,
+        );
+        let SegmentEnd::Finished(mut result) = end else {
+            unreachable!("no suspension was requested");
+        };
+        result.report.cost = model.report(result.run.questions());
+        result
     }
 
     /// Drive an async run and suspend it at a wave barrier: the first
@@ -305,17 +323,18 @@ impl<'a> Darwin<'a> {
         oracle: &mut dyn AsyncOracle,
         after_waves: u64,
     ) -> SessionOutcome {
-        let engine = Engine::new(self, seed, EngineFlavor::Sequential);
+        let engine = self.engine(seed);
         let strategy = default_strategy(&self.cfg, engine.seed_refs());
-        crate::batch::drive_session(
-            self,
+        drive_segment(
             engine,
             strategy,
             SessionCounters::default(),
             oracle,
-            &CostModel::paper(),
+            &self.cfg.batch,
+            self.cfg.budget,
             Some(after_waves),
         )
+        .into_outcome()
     }
 
     /// Resume a suspended run from serialized snapshot bytes and drive it
@@ -353,33 +372,34 @@ impl<'a> Darwin<'a> {
         let engine = Engine::resume(self, &snap)?;
         let mut strategy = default_strategy(&self.cfg, engine.seed_refs());
         strategy.import_state(&snap.strategy);
-        Ok(crate::batch::drive_session(
-            self,
+        Ok(drive_segment(
             engine,
             strategy,
             snap.counters,
             oracle,
-            &CostModel::paper(),
+            &self.cfg.batch,
+            self.cfg.budget,
             suspend_after,
-        ))
+        )
+        .into_outcome())
     }
 
     /// Run with a custom selection strategy (how the HighP/HighC baselines
-    /// plug in). The loop itself is [`Engine::step`].
+    /// plug in): the wave driver ([`crate::batch`]) asks one question per
+    /// wave through the [`Immediate`] adapter, up to
+    /// [`DarwinConfig::budget`]. [`DarwinConfig::batch`] is not read.
     pub fn run_with(
         &self,
         seed: Seed,
         oracle: &mut dyn Oracle,
         make_strategy: impl FnOnce(&[RuleRef]) -> Box<dyn Strategy>,
     ) -> RunResult {
-        let mut engine = self.engine(seed);
-        let mut strategy = make_strategy(engine.seed_refs());
-        for _ in 0..self.cfg.budget {
-            if !engine.step(&mut *strategy, oracle) {
-                break;
-            }
-        }
-        engine.finish()
+        let engine = self.engine(seed);
+        let strategy = make_strategy(engine.seed_refs());
+        let start = SessionCounters::default();
+        let oracle = &mut Immediate::new(oracle);
+        let one = &BatchPolicy::Fixed(1);
+        drive_segment(engine, strategy, start, oracle, one, self.cfg.budget, None).into_run()
     }
 }
 

@@ -41,8 +41,8 @@
 //! reference path the suites compare against). Shards, threads and
 //! transport stay pure perf knobs throughout.
 
-use crate::batch::{drive_segment, AsyncRunResult, CostModel, SegmentEnd};
-use crate::engine::{Engine, EngineFlavor, EngineParts};
+use crate::batch::{drive_segment, AsyncRunResult, SegmentEnd};
+use crate::engine::{Engine, EngineParts};
 use crate::oracle::AsyncOracle;
 use crate::pipeline::{ClassifierConnector, Darwin, Seed};
 use crate::shard::ShardConnector;
@@ -109,7 +109,7 @@ pub struct StreamSession {
     emb: Option<Embeddings>,
     cfg: DarwinConfig,
     mode: AppendMode,
-    /// Consumed by the first segment's `Engine::new`.
+    /// Consumed by the first segment's engine.
     seed: Option<Seed>,
     /// Consumed by the first segment's `Darwin` (the engine's remote
     /// sessions outlive the view that connected them).
@@ -233,18 +233,18 @@ impl StreamSession {
             Some(d) => (Engine::from_parts(&darwin, d.parts), d.strategy),
             None => {
                 let seed = self.seed.take().expect("fresh session carries a seed");
-                let engine = Engine::new(&darwin, seed, EngineFlavor::Sequential);
+                let engine = darwin.engine(seed);
                 let strategy = crate::pipeline::default_strategy(&self.cfg, engine.seed_refs());
                 (engine, strategy)
             }
         };
         let end = drive_segment(
-            &darwin,
             engine,
             strategy,
             self.counters,
             oracle,
-            &CostModel::paper(),
+            &self.cfg.batch,
+            self.cfg.budget,
             until_waves,
         );
         match end {

@@ -10,6 +10,8 @@
 //!   [`NoisyOracle`] (ground truth with seeded answer flips);
 //! * [`trace`] — trace-capture assertions: byte-for-byte run equivalence,
 //!   final-state equality, candidate-pool equality;
+//! * [`mod@reference`] — the sequential question loop built from public
+//!   engine primitives, the reference the wave driver replays;
 //! * [`strategies`] — proptest generators for random corpora;
 //! * [`transports`] — wire-boundary doubles: the fault-injecting
 //!   [`FlakyTransport`] and worker-deployment helpers for distributed
@@ -28,6 +30,7 @@
 pub mod corpora;
 pub mod crash;
 pub mod oracles;
+pub mod reference;
 pub mod strategies;
 pub mod trace;
 pub mod transports;
@@ -35,6 +38,7 @@ pub mod transports;
 pub use corpora::{directions_fixture, indexed, tiny_transport, transport};
 pub use crash::{assert_resumed_equivalent, snapshot_mutants, CrashPlan, Mutant};
 pub use oracles::{NoisyOracle, ScriptedOracle};
+pub use reference::run_sequential;
 pub use trace::{assert_equivalent, assert_same_final, assert_same_pool};
 pub use transports::{
     shard_connector, test_transport, wire_oracle, worker_bin, Fault, FlakyTransport, TransportKind,

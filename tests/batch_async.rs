@@ -1,10 +1,10 @@
 //! The async batch layer's defining contracts (`darwin_core::batch`):
 //!
 //! 1. **Synchronous replay.** With `BatchPolicy::Fixed(1)` and the
-//!    `Immediate` adapter, `Darwin::run_async` replays the synchronous
-//!    `Darwin::run` trace byte for byte — at every shard count, thread
-//!    count and answer-arrival schedule (one question in flight means a
-//!    schedule can only delay, never reorder).
+//!    `Immediate` adapter, `Darwin::run_async` replays the sequential
+//!    reference loop (`darwin_testkit::reference`) byte for byte — at
+//!    every shard count, thread count and answer-arrival schedule (one
+//!    question in flight means a schedule can only delay, never reorder).
 //! 2. **Arrival invariance.** For any fixed batch size, the *final* state
 //!    (positives, scores, question set, accepted set) is invariant under
 //!    the answer-arrival schedule and the S × threads execution matrix:
@@ -19,8 +19,8 @@ use darwin::prelude::*;
 use darwin_core::batch::ScriptedArrival;
 use darwin_core::AsyncRunResult;
 use darwin_testkit::{
-    assert_equivalent, assert_same_final, directions_fixture, indexed, test_batch, test_threads,
-    transport, NoisyOracle, ScriptedOracle,
+    assert_equivalent, assert_same_final, directions_fixture, indexed, run_sequential, test_batch,
+    test_threads, transport, NoisyOracle, ScriptedOracle,
 };
 use proptest::prelude::*;
 
@@ -35,6 +35,8 @@ fn cfg(batch: BatchPolicy, shards: usize, threads: usize) -> DarwinConfig {
     }
 }
 
+/// The sequential reference loop (not the wave driver) on the suite
+/// fixture.
 fn run_sync(n: usize, dseed: u64, shards: usize, threads: usize) -> RunResult {
     let (d, index) = directions_fixture(n, dseed);
     let darwin = Darwin::new(
@@ -44,7 +46,7 @@ fn run_sync(n: usize, dseed: u64, shards: usize, threads: usize) -> RunResult {
     );
     let seed = Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
     let mut oracle = GroundTruthOracle::new(&d.labels, 0.8);
-    darwin.run(seed, &mut oracle)
+    run_sequential(&darwin, seed, &mut oracle)
 }
 
 fn run_async(
@@ -63,13 +65,20 @@ fn run_async(
 }
 
 /// Contract 1, pinned on the suite fixture: batch 1 + immediate answers =
-/// the synchronous loop, byte for byte, across the shard matrix at the
-/// env-configured thread count.
+/// the sequential reference loop, byte for byte, across the shard matrix
+/// at the env-configured thread count — and so does `Darwin::run`.
 #[test]
 fn batch1_immediate_replays_synchronous_trace() {
     let threads = test_threads();
     let reference = run_sync(600, 42, 1, threads);
     assert!(reference.questions() > 5, "reference run asked nothing");
+    let run = {
+        let (d, index) = directions_fixture(600, 42);
+        let darwin = Darwin::new(&d.corpus, &index, cfg(BatchPolicy::Fixed(1), 1, threads));
+        let seed = Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
+        darwin.run(seed, &mut GroundTruthOracle::new(&d.labels, 0.8))
+    };
+    assert_equivalent(&reference, &run, "Darwin::run vs the reference loop");
     for shards in [1usize, 2, 4] {
         let done = run_async(600, 42, BatchPolicy::Fixed(1), &[], shards, threads);
         assert_equivalent(

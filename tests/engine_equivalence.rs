@@ -18,7 +18,7 @@ use darwin::prelude::*;
 use darwin::text::embed::EmbedConfig;
 use darwin_core::{DarwinConfig, Oracle, RunResult};
 use darwin_testkit::strategies::corpus_texts as corpus_strategy;
-use darwin_testkit::{assert_equivalent, directions_fixture, test_threads};
+use darwin_testkit::{assert_equivalent, directions_fixture, reference, test_threads};
 use proptest::prelude::*;
 
 fn run_mode(incremental: bool, kind: TraversalKind, make: Option<MakeStrategy>) -> RunResult {
@@ -265,9 +265,10 @@ fn parallel_rounds_select_identical_sequences() {
     assert_equivalent(&rescan, &sharded, "parallel S=4");
 }
 
-/// Drive the engine step by step and verify the delta-maintained aggregates
-/// never drift from a from-scratch recomputation mid-run — per shard
-/// partition *and* after the merge, at 1 and 4 shards.
+/// Drive the engine step by step through the sequential reference loop and
+/// verify the delta-maintained aggregates never drift from a from-scratch
+/// recomputation mid-run — per shard partition *and* after the merge, at
+/// 1 and 4 shards.
 #[test]
 fn aggregates_stay_consistent_through_a_run() {
     for shards in [1usize, 4] {
@@ -290,7 +291,7 @@ fn aggregates_stay_consistent_through_a_run() {
             "S={shards}: inconsistent before the first question"
         );
         for _ in 0..15 {
-            if !engine.step(&mut strategy, &mut oracle) {
+            if !reference::step(&darwin, &mut engine, &mut strategy, &mut oracle) {
                 break;
             }
             assert!(

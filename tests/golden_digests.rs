@@ -10,6 +10,8 @@
 //! A digest here changes only when a PR changes behaviour on purpose. Such
 //! a PR updates the table and says why in CHANGES.md.
 
+use darwin::baselines::{HighC, HighP};
+use darwin::core::Strategy;
 use darwin::prelude::*;
 use darwin_testkit::test_threads;
 use darwin_wire::Encode;
@@ -91,4 +93,67 @@ fn professions_sessions_match_golden_digests() {
         "session digests moved; recorded:\n{}",
         show(&got)
     );
+}
+
+/// How a [`VARIANTS`] row drives its session.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Variant {
+    /// `Darwin::run` under the given traversal.
+    Run(TraversalKind),
+    /// `Darwin::run_with` a HighP selector.
+    HighP,
+    /// `Darwin::run_with` a HighC selector.
+    HighC,
+    /// `Darwin::run_parallel` with 3 annotators for 4 rounds.
+    Parallel,
+}
+
+/// `(variant, digest)` on the seed-7 professions session. The first four
+/// rows (the other traversals and the §4.3 baseline selectors) were
+/// recorded before the sequential loop moved onto the wave driver; the
+/// `Parallel` row was recorded after `run_parallel` moved onto it.
+const VARIANTS: [(Variant, u64); 5] = [
+    (Variant::Run(TraversalKind::Local), 0xca68_c704_1087_906f),
+    (
+        Variant::Run(TraversalKind::Universal),
+        0xd67e_d537_2051_4e75,
+    ),
+    (Variant::HighP, 0xbfbe_9b2b_a6e4_91ed),
+    (Variant::HighC, 0x00fa_d2ce_3916_9d13),
+    (Variant::Parallel, 0xb0ed_562c_f849_ed9f),
+];
+
+#[test]
+fn professions_variants_match_golden_digests() {
+    let (d, index, cfg) = professions(7);
+    let rule = || Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
+    let oracle = || GroundTruthOracle::new(&d.labels, 0.8);
+    let mut got = Vec::new();
+    for &(variant, _) in &VARIANTS {
+        let run = match variant {
+            Variant::Run(kind) => Darwin::new(&d.corpus, &index, cfg.clone().with_traversal(kind))
+                .run(rule(), &mut oracle()),
+            Variant::HighP | Variant::HighC => {
+                let make = move |_: &[darwin::index::RuleRef]| -> Box<dyn Strategy> {
+                    match variant {
+                        Variant::HighP => Box::new(HighP),
+                        _ => Box::new(HighC),
+                    }
+                };
+                Darwin::new(&d.corpus, &index, cfg.clone()).run_with(rule(), &mut oracle(), make)
+            }
+            Variant::Parallel => {
+                let (mut a, mut b, mut c) = (oracle(), oracle(), oracle());
+                let mut annotators: Vec<&mut dyn Oracle> = vec![&mut a, &mut b, &mut c];
+                Darwin::new(&d.corpus, &index, cfg.clone()).run_parallel(rule(), &mut annotators, 4)
+            }
+        };
+        assert!(run.questions() > 0, "{variant:?} asked nothing");
+        got.push((variant, digest(&run)));
+    }
+    let show: String = got
+        .iter()
+        .map(|(v, h)| format!("    ({v:?}, 0x{h:016x}),\n"))
+        .collect();
+    assert_eq!(got, VARIANTS, "session digests moved; recorded:\n{show}");
 }

@@ -26,7 +26,7 @@
 use darwin::prelude::*;
 use darwin_core::AsyncRunResult;
 use darwin_testkit::{
-    assert_equivalent, directions_fixture, shard_connector, test_batch, test_threads,
+    assert_equivalent, directions_fixture, reference, shard_connector, test_batch, test_threads,
     test_transport, wire_oracle, Fault, FlakyTransport, TransportKind,
 };
 use darwin_wire::{InProc, Transport, WireError};
@@ -213,7 +213,8 @@ proptest! {
 }
 
 /// A healthy distributed engine keeps its fragment mirrors *exact*: the
-/// audit fetches every fragment back from the workers and compares.
+/// audit fetches every fragment back from the workers and compares after
+/// each step of the sequential reference loop.
 #[test]
 fn remote_mirrors_audit_exact_after_stepping() {
     let (d, index) = directions_fixture(N, DSEED);
@@ -224,7 +225,7 @@ fn remote_mirrors_audit_exact_after_stepping() {
     let mut strategy = darwin_core::traversal::UniversalSearch::new();
     let mut oracle = GroundTruthOracle::new(&d.labels, 0.8);
     for _ in 0..6 {
-        if !engine.step(&mut strategy, &mut oracle) {
+        if !reference::step(&darwin, &mut engine, &mut strategy, &mut oracle) {
             break;
         }
         assert!(engine.audit_remote_store().unwrap(), "mirror drifted");
